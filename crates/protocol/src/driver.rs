@@ -15,6 +15,7 @@
 
 use crate::message::{Command, ProtocolEvent};
 use oscar_types::Id;
+use std::collections::BTreeSet;
 
 /// A world that can host peer machines and move their envelopes.
 ///
@@ -61,4 +62,88 @@ pub trait ProtocolDriver {
     /// drained events this is a lifetime counter: harnesses gate runs on
     /// it staying zero.
     fn fault_count(&self) -> u64;
+}
+
+/// Every registered machine's pending deadline, ordered by round.
+///
+/// A driver keeps one entry per machine whose
+/// [`PeerMachine::next_deadline`](crate::PeerMachine::next_deadline) is
+/// `Some`, and reports each change through [`DeadlineIndex::note`] right
+/// after the handler call that made it. Finding the next timer round is
+/// then a read of the first entry, and finding the machines a round
+/// ticks is a prefix walk, instead of a scan over the whole fleet.
+#[derive(Debug, Default)]
+pub struct DeadlineIndex {
+    entries: BTreeSet<(u64, Id)>,
+    /// `entries.first()`'s round, kept beside the set so that
+    /// [`DeadlineIndex::earliest`] needs no tree walk.
+    earliest: Option<u64>,
+}
+
+impl DeadlineIndex {
+    /// An empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records that `id`'s deadline moved from `old` to `new` (`None`:
+    /// no operation pending). `old` must be the value last noted for
+    /// `id`, or `None` for a machine the index has not seen.
+    pub fn note(&mut self, id: Id, old: Option<u64>, new: Option<u64>) {
+        if old == new {
+            return;
+        }
+        if let Some(d) = old {
+            self.entries.remove(&(d, id));
+        }
+        if let Some(d) = new {
+            self.entries.insert((d, id));
+        }
+        self.earliest = self.entries.first().map(|&(d, _)| d);
+    }
+
+    /// The earliest pending deadline, if any machine is waiting.
+    pub fn earliest(&self) -> Option<u64> {
+        self.earliest
+    }
+
+    /// The machines whose deadline is at or before `now`, in ascending
+    /// [`Id`] order — the order a fleet scan over an id-keyed map visits
+    /// them, which fixes the order their timer ticks draw command
+    /// nonces in.
+    pub fn due(&self, now: u64) -> Vec<Id> {
+        let mut ids: Vec<Id> = self
+            .entries
+            .iter()
+            .take_while(|&&(d, _)| d <= now)
+            .map(|&(_, id)| id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn notes_move_entries_and_due_is_id_ordered() {
+        let mut idx = DeadlineIndex::new();
+        assert_eq!(idx.earliest(), None);
+        idx.note(Id::new(9), None, Some(3));
+        idx.note(Id::new(5), None, Some(1));
+        idx.note(Id::new(7), None, Some(2));
+        assert_eq!(idx.earliest(), Some(1));
+        assert_eq!(idx.due(0), vec![]);
+        assert_eq!(idx.due(2), vec![Id::new(5), Id::new(7)]);
+        assert_eq!(idx.due(3), vec![Id::new(5), Id::new(7), Id::new(9)]);
+        idx.note(Id::new(5), Some(1), Some(4));
+        assert_eq!(idx.earliest(), Some(2));
+        assert_eq!(idx.due(3), vec![Id::new(7), Id::new(9)]);
+        idx.note(Id::new(7), Some(2), None);
+        idx.note(Id::new(9), Some(3), Some(3));
+        assert_eq!(idx.earliest(), Some(3));
+        assert_eq!(idx.due(u64::MAX), vec![Id::new(5), Id::new(9)]);
+    }
 }

@@ -25,15 +25,15 @@
 //! in the workspace root.
 
 use oscar_protocol::{
-    machine::peer_seed, Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine,
-    ProtocolDriver, ProtocolEvent,
+    machine::peer_seed, Command, DeadlineIndex, FaultPlan, Message, Outbound, PeerConfig,
+    PeerMachine, ProtocolDriver, ProtocolEvent,
 };
 use oscar_types::labels::runtime::{LBL_GOSSIP, LBL_WORKER};
 use oscar_types::{Id, SeedTree};
 use rand::rngs::SmallRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -84,9 +84,19 @@ impl RuntimeConfig {
 /// One peer actor: machine + mailbox + scheduling flag.
 struct Actor {
     id: Id,
-    machine: Mutex<PeerMachine>,
+    slot: Mutex<Slot>,
     mailbox: Mutex<VecDeque<(Id, Message)>>,
     scheduled: AtomicBool,
+}
+
+/// An actor's machine and the deadline the runtime's index holds for
+/// it, kept under one lock so the two cannot drift apart.
+struct Slot {
+    machine: PeerMachine,
+    deadline: Option<u64>,
+    /// Set when the actor is removed or replaced: its index entry is
+    /// gone, and a worker still holding the actor must not put it back.
+    removed: bool,
 }
 
 /// State shared between the handle and the worker threads.
@@ -95,6 +105,9 @@ struct Shared {
     // peer_ids) walks this map, and ordered iteration keeps every such
     // walk deterministic for free (iter-order discipline).
     actors: RwLock<BTreeMap<Id, Arc<Actor>>>,
+    /// Every live actor's `Slot::deadline`. Lock order: an actor's slot,
+    /// then this index.
+    deadlines: Mutex<DeadlineIndex>,
     runq: Mutex<VecDeque<Id>>,
     runq_cv: Condvar,
     /// Messages enqueued but not yet fully processed.
@@ -178,6 +191,7 @@ impl Runtime {
         };
         let shared = Arc::new(Shared {
             actors: RwLock::new(BTreeMap::new()),
+            deadlines: Mutex::new(DeadlineIndex::new()),
             runq: Mutex::new(VecDeque::new()),
             runq_cv: Condvar::new(),
             pending: AtomicUsize::new(0),
@@ -225,15 +239,29 @@ impl Runtime {
         self.workers.len()
     }
 
-    /// Registers a pre-built machine as an actor.
+    /// Registers a pre-built machine as an actor, replacing (as
+    /// [`Runtime::remove_peer`] would) any actor with its id.
     pub fn spawn_machine(&self, machine: PeerMachine) {
+        let id = machine.id();
+        let deadline = machine.next_deadline();
         let actor = Arc::new(Actor {
-            id: machine.id(),
-            machine: Mutex::new(machine),
+            id,
+            slot: Mutex::new(Slot {
+                machine,
+                deadline,
+                removed: false,
+            }),
             mailbox: Mutex::new(VecDeque::new()),
             scheduled: AtomicBool::new(false),
         });
-        self.shared.actors.write().unwrap().insert(actor.id, actor);
+        // Under the map's write lock no worker can reach the new actor,
+        // so its entry lands before any handler can move it, and after
+        // the replaced actor's entry for the same id is gone.
+        let mut actors = self.shared.actors.write().unwrap();
+        if let Some(old) = actors.insert(id, actor) {
+            self.shared.retire(&old);
+        }
+        self.shared.deadlines().note(id, None, deadline);
     }
 
     /// Spawns a fresh solo peer with the canonical derived seed (the DES
@@ -251,19 +279,12 @@ impl Runtime {
     /// future sends to it surface as delivery failures at the senders.
     pub fn remove_peer(&self, id: Id) -> bool {
         let removed = self.shared.actors.write().unwrap().remove(&id);
-        if let Some(actor) = removed {
-            let dropped = actor.mailbox.lock().unwrap().len();
-            // Mail queued to the corpse counts as dropped, so the
-            // sent/delivered/dropped/bounced reconciliation still holds.
-            self.shared
-                .dropped
-                .fetch_add(dropped as u64, Ordering::Relaxed);
-            for _ in 0..dropped {
-                self.shared.dec_pending();
+        match removed {
+            Some(actor) => {
+                self.shared.retire(&actor);
+                true
             }
-            true
-        } else {
-            false
+            None => false,
         }
     }
 
@@ -276,8 +297,8 @@ impl Runtime {
     /// Runs `f` against one peer's machine (read-only access pattern).
     pub fn with_peer<T>(&self, id: Id, f: impl FnOnce(&PeerMachine) -> T) -> Option<T> {
         let actor = self.shared.actors.read().unwrap().get(&id).cloned()?;
-        let machine = actor.machine.lock().unwrap();
-        Some(f(&machine))
+        let slot = actor.slot.lock().unwrap();
+        Some(f(&slot.machine))
     }
 
     /// Delivers a command to one peer on the calling thread; resulting
@@ -291,12 +312,7 @@ impl Runtime {
         let nonce = self.shared.inject_nonce.fetch_add(1, Ordering::Relaxed);
         // lint:allow(rng-discipline, inject streams are keyed by nonce so thread interleaving cannot reorder draws)
         let mut rng = SeedTree::new(self.cfg.seed).child2(LBL_GOSSIP, nonce).rng();
-        let outs = {
-            let mut m = actor.machine.lock().unwrap();
-            let outs = m.on_command(cmd, &mut rng);
-            self.shared.collect_events(&mut m);
-            outs
-        };
+        let outs = self.shared.handle(&actor, |m| m.on_command(cmd, &mut rng));
         for o in outs {
             self.shared.send(&actor, o);
         }
@@ -337,18 +353,7 @@ impl Runtime {
     /// The earliest pending deadline across all machines, if any
     /// operation anywhere is still awaiting completion.
     pub fn next_timer_round(&self) -> Option<u64> {
-        let actors: Vec<Arc<Actor>> = self
-            .shared
-            .actors
-            .read()
-            .unwrap()
-            .values()
-            .cloned()
-            .collect();
-        actors
-            .iter()
-            .filter_map(|a| a.machine.lock().unwrap().next_deadline())
-            .min()
+        self.shared.deadlines().earliest()
     }
 
     /// Advances the timer round to the earliest pending deadline and
@@ -357,31 +362,14 @@ impl Runtime {
     /// the network silent, all loss is final, so an expired deadline is
     /// a genuine loss — identical semantics to the DES's `tick_timers`.
     pub fn tick_timers(&self) -> bool {
-        let Some(min) = self.next_timer_round() else {
-            return false;
-        };
-        let prev = self.shared.round.fetch_max(min, Ordering::SeqCst);
-        let now = prev.max(min);
-        let due: Vec<Id> = {
-            let actors: Vec<Arc<Actor>> = self
-                .shared
-                .actors
-                .read()
-                .unwrap()
-                .values()
-                .cloned()
-                .collect();
-            actors
-                .iter()
-                .filter(|a| {
-                    a.machine
-                        .lock()
-                        .unwrap()
-                        .next_deadline()
-                        .is_some_and(|d| d <= now)
-                })
-                .map(|a| a.id)
-                .collect()
+        let (now, due) = {
+            let index = self.shared.deadlines();
+            let Some(min) = index.earliest() else {
+                return false;
+            };
+            let prev = self.shared.round.fetch_max(min, Ordering::SeqCst);
+            let now = prev.max(min);
+            (now, index.due(now))
         };
         for id in due {
             self.inject(id, Command::TimerTick { now });
@@ -393,13 +381,19 @@ impl Runtime {
     /// pending operation resolved (completion, retry success, or
     /// graceful give-up) or `max_rounds` timer rounds elapsed.
     pub fn settle(&self, max_rounds: u64) {
+        self.settle_loop(max_rounds);
+    }
+
+    /// The one settle loop behind [`Runtime::settle`] and
+    /// [`ProtocolDriver::settle`]: returns the timer rounds consumed.
+    fn settle_loop(&self, max_rounds: u64) -> u64 {
         self.quiesce();
-        for _ in 0..max_rounds {
-            if !self.tick_timers() {
-                break;
-            }
+        let mut rounds = 0;
+        while rounds < max_rounds && self.tick_timers() {
             self.quiesce();
+            rounds += 1;
         }
+        rounds
     }
 
     /// The current timer round (virtual failure-detection time).
@@ -424,6 +418,38 @@ impl Runtime {
             self.quiesce();
         }
         self.shared.round.fetch_max(round, Ordering::SeqCst);
+    }
+
+    /// Checks the deadline index against a brute-force scan of every
+    /// live actor: each slot caches its machine's deadline, the index's
+    /// earliest is the scan's minimum, and every `due` set is the scan's
+    /// filter. Call only after [`Runtime::quiesce`].
+    #[cfg(test)]
+    fn assert_index_matches_scan(&self) {
+        let scan: Vec<(Id, u64)> = self
+            .shared
+            .actors
+            .read()
+            .unwrap()
+            .values()
+            .filter_map(|a| {
+                let slot = a.slot.lock().unwrap();
+                assert!(!slot.removed, "{:?}", a.id);
+                assert_eq!(slot.deadline, slot.machine.next_deadline(), "{:?}", a.id);
+                slot.deadline.map(|d| (a.id, d))
+            })
+            .collect();
+        let index = self.shared.deadlines();
+        let min = scan.iter().map(|&(_, d)| d).min();
+        assert_eq!(index.earliest(), min);
+        for now in scan.iter().map(|&(_, d)| d).chain([u64::MAX]) {
+            let due: Vec<Id> = scan
+                .iter()
+                .filter(|&&(_, d)| d <= now)
+                .map(|&(id, _)| id)
+                .collect();
+            assert_eq!(index.due(now), due, "due({now})");
+        }
     }
 
     /// Aggregate counters.
@@ -493,13 +519,7 @@ impl ProtocolDriver for Runtime {
     }
 
     fn settle(&mut self, max_rounds: u64) -> u64 {
-        self.quiesce();
-        let mut rounds = 0;
-        while rounds < max_rounds && self.tick_timers() {
-            self.quiesce();
-            rounds += 1;
-        }
-        rounds
+        self.settle_loop(max_rounds)
     }
 
     fn advance_to(&mut self, round: u64) {
@@ -569,12 +589,8 @@ impl Shared {
             None => {
                 self.bounced.fetch_add(copies, Ordering::Relaxed);
                 for _ in 0..copies {
-                    let outs = {
-                        let mut m = from.machine.lock().unwrap();
-                        let outs = m.on_delivery_failure(out.to, out.msg.clone());
-                        self.collect_events(&mut m);
-                        outs
-                    };
+                    let outs =
+                        self.handle(from, |m| m.on_delivery_failure(out.to, out.msg.clone()));
                     for o in outs {
                         self.send(from, o);
                     }
@@ -588,6 +604,51 @@ impl Shared {
         if !actor.scheduled.swap(true, Ordering::SeqCst) {
             self.runq.lock().unwrap().push_back(actor.id);
             self.runq_cv.notify_one();
+        }
+    }
+
+    /// The deadline index, locked.
+    fn deadlines(&self) -> MutexGuard<'_, DeadlineIndex> {
+        self.deadlines
+            .lock()
+            .expect("a thread panicked while holding the deadline index")
+    }
+
+    /// Runs one handler on `actor`'s machine under its slot lock,
+    /// collects the machine's events, and moves its index entry if its
+    /// deadline changed (the index lock is taken only then).
+    fn handle(
+        &self,
+        actor: &Actor,
+        handler: impl FnOnce(&mut PeerMachine) -> Vec<Outbound>,
+    ) -> Vec<Outbound> {
+        let mut slot = actor.slot.lock().unwrap();
+        let outs = handler(&mut slot.machine);
+        self.collect_events(&mut slot.machine);
+        let deadline = slot.machine.next_deadline();
+        if deadline != slot.deadline && !slot.removed {
+            self.deadlines().note(actor.id, slot.deadline, deadline);
+            slot.deadline = deadline;
+        }
+        outs
+    }
+
+    /// Takes a removed or replaced actor out of service. Its index entry
+    /// is cleared under its slot lock and the slot marked removed, so a
+    /// worker still holding the actor cannot put a stale entry back.
+    /// Mail queued to it counts as dropped, so the
+    /// sent/delivered/dropped/bounced reconciliation still holds.
+    fn retire(&self, actor: &Actor) {
+        {
+            let mut slot = actor.slot.lock().unwrap();
+            slot.removed = true;
+            let old = slot.deadline.take();
+            self.deadlines().note(actor.id, old, None);
+        }
+        let dropped = std::mem::take(&mut *actor.mailbox.lock().unwrap()).len();
+        self.dropped.fetch_add(dropped as u64, Ordering::Relaxed);
+        for _ in 0..dropped {
+            self.dec_pending();
         }
     }
 
@@ -651,12 +712,7 @@ fn worker_loop(shared: Arc<Shared>, widx: usize, mut rng: SmallRng) {
                 break;
             }
             for (from, msg) in batch {
-                let outs = {
-                    let mut m = actor.machine.lock().unwrap();
-                    let outs = m.on_message(from, msg, &mut rng);
-                    shared.collect_events(&mut m);
-                    outs
-                };
+                let outs = shared.handle(&actor, |m| m.on_message(from, msg, &mut rng));
                 for o in outs {
                     shared.send(&actor, o);
                 }
@@ -678,9 +734,156 @@ fn worker_loop(shared: Arc<Shared>, widx: usize, mut rng: SmallRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oscar_protocol::OpKind;
+    use rand::Rng;
 
     fn runtime(workers: usize, seed: u64) -> Runtime {
         Runtime::new(RuntimeConfig::new(seed).with_workers(workers))
+    }
+
+    /// A runtime whose every send is dropped: armed deadlines stay armed
+    /// until their retries run out.
+    fn drop_everything() -> Runtime {
+        let plan = FaultPlan::new(1).with_drop(1.0);
+        Runtime::new(RuntimeConfig::new(3).with_workers(2).with_fault_plan(plan))
+    }
+
+    /// A machine bootstrapped onto a ring through `succ` with one query
+    /// in flight towards `succ`'s arc, ticked at each of `ticks`.
+    fn waiting_machine(id: u64, succ: u64, ticks: &[u64]) -> PeerMachine {
+        let mut m = PeerMachine::new(Id::new(id), id, PeerConfig::default());
+        let mut rng = SeedTree::new(id).rng();
+        let succ = Id::new(succ);
+        m.on_command(
+            Command::Bootstrap {
+                pred: succ,
+                succs: vec![succ],
+                known: vec![succ],
+            },
+            &mut rng,
+        );
+        let key = Id::new(succ.raw() - 1);
+        m.on_command(Command::StartQuery { qid: id, key }, &mut rng);
+        for &now in ticks {
+            m.on_command(Command::TimerTick { now }, &mut rng);
+        }
+        m.drain_events();
+        m
+    }
+
+    #[test]
+    fn index_matches_a_fleet_scan_through_random_churn_under_loss() {
+        let plan = FaultPlan::new(0xDE)
+            .with_drop(0.1)
+            .with_duplication(0.1)
+            .with_delay_jitter(2);
+        let mut rt = Runtime::new(RuntimeConfig::new(23).with_workers(2).with_fault_plan(plan));
+        let mut rng = SeedTree::new(0x1D).rng();
+        let mut next_id = 1u64;
+        let mut waiting = 0u32;
+        rt.spawn_peer(Id::new(next_id << 40));
+        for _ in 0..300 {
+            let live = rt.peer_ids();
+            let pick = |rng: &mut SmallRng| live[rng.gen_range(0..live.len())];
+            match rng.gen_range(0..8u32) {
+                0 | 1 => {
+                    next_id += 1;
+                    let id = Id::new((next_id << 40) | (rng.gen::<u64>() >> 24));
+                    let contact = pick(&mut rng);
+                    rt.spawn_peer(id);
+                    rt.inject(id, Command::Join { contact });
+                }
+                2 => {
+                    rt.inject(pick(&mut rng), Command::BuildLinks { walks: 2 });
+                }
+                3 => {
+                    rt.inject(pick(&mut rng), Command::ProbeRing);
+                }
+                4 if live.len() > 2 => {
+                    rt.remove_peer(pick(&mut rng));
+                }
+                5 => {
+                    rt.advance_to(rt.round() + rng.gen_range(0..4u64));
+                }
+                6 => {
+                    ProtocolDriver::settle(&mut rt, rng.gen_range(0..8u64));
+                }
+                _ => {
+                    rt.tick_timers();
+                }
+            }
+            rt.quiesce();
+            rt.assert_index_matches_scan();
+            waiting += rt.next_timer_round().is_some() as u32;
+        }
+        assert!(waiting > 50, "only {waiting} steps had a deadline pending");
+        assert!(rt.peer_ids().len() > 2, "the fleet must not die out");
+        rt.settle(256);
+        rt.assert_index_matches_scan();
+        assert_eq!(
+            rt.next_timer_round(),
+            None,
+            "settle must drain every deadline"
+        );
+    }
+
+    #[test]
+    fn removing_a_waiting_peer_drops_its_deadline() {
+        let mut rt = drop_everything();
+        rt.spawn_machine(waiting_machine(100, 900, &[]));
+        rt.spawn_peer(Id::new(900));
+        assert_eq!(rt.next_timer_round(), Some(1));
+        assert!(rt.remove_peer(Id::new(100)));
+        rt.assert_index_matches_scan();
+        assert_eq!(rt.next_timer_round(), None);
+        assert_eq!(ProtocolDriver::settle(&mut rt, 64), 0);
+    }
+
+    #[test]
+    fn respawning_an_id_leaves_no_stale_deadline() {
+        let rt = drop_everything();
+        rt.spawn_machine(waiting_machine(100, 900, &[]));
+        assert_eq!(rt.next_timer_round(), Some(1));
+        rt.spawn_peer(Id::new(100));
+        rt.assert_index_matches_scan();
+        assert_eq!(rt.next_timer_round(), None);
+        // A replacement that is itself waiting takes its own deadline.
+        rt.spawn_machine(waiting_machine(100, 900, &[1]));
+        rt.assert_index_matches_scan();
+        assert_eq!(rt.next_timer_round(), Some(2));
+        rt.settle(64);
+        rt.assert_index_matches_scan();
+        assert_eq!(rt.next_timer_round(), None);
+    }
+
+    #[test]
+    fn due_timers_tick_in_ascending_id_order() {
+        let rt = drop_everything();
+        rt.advance_to(10);
+        // Deadlines 1, 2 and 1: the index holds them in deadline order,
+        // 500 and 900 ahead of 100.
+        rt.spawn_machine(waiting_machine(900, 50, &[]));
+        rt.spawn_machine(waiting_machine(100, 50, &[1]));
+        rt.spawn_machine(waiting_machine(500, 50, &[]));
+        assert_eq!(
+            rt.with_peer(Id::new(100), |m| m.next_deadline()),
+            Some(Some(2))
+        );
+        assert!(rt.tick_timers());
+        rt.quiesce();
+        let retried: Vec<Id> = rt
+            .drain_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                ProtocolEvent::Retried {
+                    peer,
+                    op: OpKind::Query,
+                    ..
+                } => Some(peer),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retried, [100, 500, 900].map(Id::new));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 use crate::events::EventQueue;
 use oscar_protocol::machine::peer_seed;
 use oscar_protocol::{
-    Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent,
+    Command, DeadlineIndex, FaultPlan, Message, Outbound, PeerConfig, PeerMachine, ProtocolDriver,
+    ProtocolEvent,
 };
 use oscar_types::labels::sim_protocol_des::LBL_CMD;
 use oscar_types::{Id, SeedTree};
@@ -32,9 +33,37 @@ pub struct Envelope {
     pub msg: Message,
 }
 
+/// A registered machine and the deadline [`DesDriver`]'s index holds
+/// for it.
+struct Slot {
+    machine: PeerMachine,
+    deadline: Option<u64>,
+}
+
+impl Slot {
+    /// Runs one handler on the machine, then re-reads its deadline and
+    /// moves its `index` entry if it changed. Returns the handler's
+    /// sends and the machine's drained events.
+    fn handle(
+        &mut self,
+        index: &mut DeadlineIndex,
+        handler: impl FnOnce(&mut PeerMachine) -> Vec<Outbound>,
+    ) -> (Vec<Outbound>, Vec<ProtocolEvent>) {
+        let outs = handler(&mut self.machine);
+        let deadline = self.machine.next_deadline();
+        if deadline != self.deadline {
+            index.note(self.machine.id(), self.deadline, deadline);
+            self.deadline = deadline;
+        }
+        (outs, self.machine.drain_events())
+    }
+}
+
 /// The DES world: peer machines plus one event queue of envelopes.
 pub struct DesDriver {
-    peers: BTreeMap<Id, PeerMachine>,
+    peers: BTreeMap<Id, Slot>,
+    /// Every slot's `deadline`; re-read after each handler call.
+    deadlines: DeadlineIndex,
     queue: EventQueue<Envelope>,
     seed: u64,
     peer_cfg: PeerConfig,
@@ -67,6 +96,7 @@ impl DesDriver {
     pub fn new_with_faults(seed: u64, peer_cfg: PeerConfig, plan: FaultPlan) -> Self {
         DesDriver {
             peers: BTreeMap::new(),
+            deadlines: DeadlineIndex::new(),
             queue: EventQueue::new(),
             seed,
             peer_cfg,
@@ -90,21 +120,30 @@ impl DesDriver {
 
     /// Registers a fresh solo peer with the canonical derived seed.
     pub fn spawn_peer(&mut self, id: Id) {
-        self.peers.insert(
+        self.spawn_machine(PeerMachine::new(
             id,
-            PeerMachine::new(id, peer_seed(self.seed, id), self.peer_cfg.clone()),
-        );
+            peer_seed(self.seed, id),
+            self.peer_cfg.clone(),
+        ));
     }
 
-    /// Registers a pre-built machine.
+    /// Registers a pre-built machine, replacing any machine with its id.
     pub fn spawn_machine(&mut self, machine: PeerMachine) {
-        self.peers.insert(machine.id(), machine);
+        let id = machine.id();
+        let deadline = machine.next_deadline();
+        let old = self.peers.insert(id, Slot { machine, deadline });
+        self.deadlines
+            .note(id, old.and_then(|slot| slot.deadline), deadline);
     }
 
     /// Removes a peer outright (a crash). Mail already queued to it will
     /// bounce at delivery time.
     pub fn remove_peer(&mut self, id: Id) -> bool {
-        self.peers.remove(&id).is_some()
+        let Some(old) = self.peers.remove(&id) else {
+            return false;
+        };
+        self.deadlines.note(id, old.deadline, None);
+        true
     }
 
     /// Live peer ids, sorted.
@@ -114,7 +153,7 @@ impl DesDriver {
 
     /// Read access to one peer's machine.
     pub fn peer(&self, id: Id) -> Option<&PeerMachine> {
-        self.peers.get(&id)
+        self.peers.get(&id).map(|slot| &slot.machine)
     }
 
     /// Envelopes handed to the transport so far (fault copies included).
@@ -176,11 +215,10 @@ impl DesDriver {
         let mut rng = SeedTree::new(self.seed)
             .child2(LBL_CMD, self.cmd_nonce)
             .rng();
-        let Some(peer) = self.peers.get_mut(&id) else {
+        let Some(slot) = self.peers.get_mut(&id) else {
             return false;
         };
-        let outs = peer.on_command(cmd, &mut rng);
-        let evs = peer.drain_events();
+        let (outs, evs) = slot.handle(&mut self.deadlines, |m| m.on_command(cmd, &mut rng));
         self.absorb_events(evs);
         self.enqueue_all(id, outs);
         true
@@ -202,7 +240,7 @@ impl DesDriver {
     /// The earliest pending deadline across all machines, if any
     /// operation anywhere is still awaiting completion.
     pub fn next_timer_round(&self) -> Option<u64> {
-        self.peers.values().filter_map(|m| m.next_deadline()).min()
+        self.deadlines.earliest()
     }
 
     /// Advances the timer round to the earliest pending deadline and
@@ -216,13 +254,7 @@ impl DesDriver {
         };
         self.round = self.round.max(min);
         let now = self.round;
-        let due: Vec<Id> = self
-            .peers
-            .iter()
-            .filter(|(_, m)| m.next_deadline().is_some_and(|d| d <= now))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
+        for id in self.deadlines.due(now) {
             self.inject(id, Command::TimerTick { now });
         }
         true
@@ -233,14 +265,19 @@ impl DesDriver {
     /// graceful give-up) or `max_rounds` timer rounds elapsed. Returns
     /// envelopes processed.
     pub fn run_until_settled(&mut self, max_rounds: u64) -> u64 {
+        self.settle_loop(max_rounds).1
+    }
+
+    /// The one settle loop behind [`DesDriver::run_until_settled`] and
+    /// [`ProtocolDriver::settle`]: returns (timer rounds, envelopes).
+    fn settle_loop(&mut self, max_rounds: u64) -> (u64, u64) {
         let mut n = self.run_until_idle();
-        for _ in 0..max_rounds {
-            if !self.tick_timers() {
-                break;
-            }
+        let mut rounds = 0;
+        while rounds < max_rounds && self.tick_timers() {
             n += self.run_until_idle();
+            rounds += 1;
         }
-        n
+        (rounds, n)
     }
 
     /// Advances the virtual clock to at least `round`: delivers all
@@ -272,6 +309,32 @@ impl DesDriver {
     /// Drains protocol milestones observed since the last drain.
     pub fn drain_events(&mut self) -> Vec<ProtocolEvent> {
         std::mem::take(&mut self.events)
+    }
+
+    /// Checks the deadline index against a brute-force scan of every
+    /// live machine: each slot caches its machine's deadline, the index's
+    /// earliest is the scan's minimum, and every `due` set is the scan's
+    /// filter.
+    #[cfg(test)]
+    fn assert_index_matches_scan(&self) {
+        let scan: Vec<(Id, u64)> = self
+            .peers
+            .iter()
+            .filter_map(|(&id, slot)| {
+                assert_eq!(slot.deadline, slot.machine.next_deadline(), "{id:?}");
+                slot.deadline.map(|d| (id, d))
+            })
+            .collect();
+        let min = scan.iter().map(|&(_, d)| d).min();
+        assert_eq!(self.deadlines.earliest(), min);
+        for now in scan.iter().map(|&(_, d)| d).chain([u64::MAX]) {
+            let due: Vec<Id> = scan
+                .iter()
+                .filter(|&&(_, d)| d <= now)
+                .map(|&(id, _)| id)
+                .collect();
+            assert_eq!(self.deadlines.due(now), due, "due({now})");
+        }
     }
 
     /// The driver's single routing point: every outbound passes through
@@ -317,8 +380,9 @@ impl DesDriver {
             let mut rng = SeedTree::new(self.seed)
                 .child2(LBL_CMD, self.cmd_nonce)
                 .rng();
-            let outs = peer.on_message(env.from, env.msg, &mut rng);
-            let evs = peer.drain_events();
+            let (outs, evs) = peer.handle(&mut self.deadlines, |m| {
+                m.on_message(env.from, env.msg, &mut rng)
+            });
             self.absorb_events(evs);
             self.enqueue_all(env.to, outs);
         } else if self.plan.blackhole_on_crash() {
@@ -332,8 +396,9 @@ impl DesDriver {
             let Some(sender) = self.peers.get_mut(&env.from) else {
                 return; // both ends gone; the message evaporates
             };
-            let outs = sender.on_delivery_failure(env.to, env.msg);
-            let evs = sender.drain_events();
+            let (outs, evs) = sender.handle(&mut self.deadlines, |m| {
+                m.on_delivery_failure(env.to, env.msg)
+            });
             self.absorb_events(evs);
             self.enqueue_all(env.from, outs);
         }
@@ -359,13 +424,7 @@ impl ProtocolDriver for DesDriver {
     }
 
     fn settle(&mut self, max_rounds: u64) -> u64 {
-        self.run_until_idle();
-        let mut rounds = 0;
-        while rounds < max_rounds && self.tick_timers() {
-            self.run_until_idle();
-            rounds += 1;
-        }
-        rounds
+        self.settle_loop(max_rounds).0
     }
 
     fn advance_to(&mut self, round: u64) {
@@ -396,9 +455,155 @@ impl ProtocolDriver for DesDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oscar_protocol::OpKind;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
 
     fn driver(seed: u64) -> DesDriver {
         DesDriver::new(seed, PeerConfig::default())
+    }
+
+    /// A machine bootstrapped onto a ring through `succ` with one query
+    /// in flight towards `succ`'s arc: its deadline is armed and, under
+    /// a drop-everything plan, stays armed until the retries run out.
+    fn waiting_machine(id: u64, succ: u64, ticks: &[u64]) -> PeerMachine {
+        let mut m = PeerMachine::new(Id::new(id), id, PeerConfig::default());
+        let mut rng = SeedTree::new(id).rng();
+        let (pred, succ) = (Id::new(succ), Id::new(succ));
+        m.on_command(
+            Command::Bootstrap {
+                pred,
+                succs: vec![succ],
+                known: vec![succ],
+            },
+            &mut rng,
+        );
+        let key = Id::new(succ.raw() - 1);
+        m.on_command(Command::StartQuery { qid: id, key }, &mut rng);
+        for &now in ticks {
+            m.on_command(Command::TimerTick { now }, &mut rng);
+        }
+        m.drain_events();
+        m
+    }
+
+    fn drop_everything() -> FaultPlan {
+        FaultPlan::new(1).with_drop(1.0)
+    }
+
+    #[test]
+    fn index_matches_a_fleet_scan_through_random_churn_under_loss() {
+        let plan = FaultPlan::new(0xDE)
+            .with_drop(0.1)
+            .with_duplication(0.1)
+            .with_delay_jitter(2);
+        let mut des = DesDriver::new_with_faults(23, PeerConfig::default(), plan);
+        let mut rng = SeedTree::new(0x1D).rng();
+        let mut next_id = 1u64;
+        let mut waiting = 0u32;
+        des.spawn_peer(Id::new(next_id << 40));
+        for _ in 0..600 {
+            let live = des.peer_ids();
+            let pick = |rng: &mut SmallRng| live[rng.gen_range(0..live.len())];
+            match rng.gen_range(0..9u32) {
+                0 | 1 if !live.is_empty() => {
+                    next_id += 1;
+                    let id = Id::new((next_id << 40) | (rng.gen::<u64>() >> 24));
+                    let contact = pick(&mut rng);
+                    des.spawn_peer(id);
+                    des.assert_index_matches_scan();
+                    des.inject(id, Command::Join { contact });
+                }
+                2 if !live.is_empty() => {
+                    des.inject(pick(&mut rng), Command::BuildLinks { walks: 2 });
+                }
+                3 if !live.is_empty() => {
+                    des.inject(pick(&mut rng), Command::ProbeRing);
+                }
+                4 if live.len() > 2 => {
+                    des.remove_peer(pick(&mut rng));
+                }
+                5 => {
+                    let to = des.round() + rng.gen_range(0..4u64);
+                    des.advance_to(to);
+                }
+                6 => {
+                    ProtocolDriver::settle(&mut des, rng.gen_range(0..8u64));
+                }
+                7 => {
+                    des.run_until_idle();
+                }
+                _ => {
+                    des.tick_timers();
+                }
+            }
+            des.assert_index_matches_scan();
+            waiting += des.next_timer_round().is_some() as u32;
+        }
+        assert!(waiting > 100, "only {waiting} steps had a deadline pending");
+        assert!(des.peer_ids().len() > 2, "the fleet must not die out");
+        des.run_until_settled(256);
+        des.assert_index_matches_scan();
+        assert_eq!(
+            des.next_timer_round(),
+            None,
+            "settle must drain every deadline"
+        );
+    }
+
+    #[test]
+    fn removing_a_waiting_peer_drops_its_deadline() {
+        let mut des = DesDriver::new_with_faults(3, PeerConfig::default(), drop_everything());
+        des.spawn_machine(waiting_machine(100, 900, &[]));
+        des.spawn_peer(Id::new(900));
+        assert_eq!(des.next_timer_round(), Some(1));
+        assert!(des.remove_peer(Id::new(100)));
+        des.assert_index_matches_scan();
+        assert_eq!(des.next_timer_round(), None);
+        assert_eq!(ProtocolDriver::settle(&mut des, 64), 0);
+    }
+
+    #[test]
+    fn respawning_an_id_leaves_no_stale_deadline() {
+        let mut des = DesDriver::new_with_faults(3, PeerConfig::default(), drop_everything());
+        des.spawn_machine(waiting_machine(100, 900, &[]));
+        assert_eq!(des.next_timer_round(), Some(1));
+        des.spawn_peer(Id::new(100));
+        des.assert_index_matches_scan();
+        assert_eq!(des.next_timer_round(), None);
+        // A replacement that is itself waiting takes its own deadline.
+        des.spawn_machine(waiting_machine(100, 900, &[1]));
+        des.assert_index_matches_scan();
+        assert_eq!(des.next_timer_round(), Some(2));
+        assert!(ProtocolDriver::settle(&mut des, 64) > 0);
+        des.assert_index_matches_scan();
+        assert_eq!(des.next_timer_round(), None);
+    }
+
+    #[test]
+    fn due_timers_tick_in_ascending_id_order() {
+        let mut des = DesDriver::new_with_faults(3, PeerConfig::default(), drop_everything());
+        des.advance_to(10);
+        // Deadlines 1, 2 and 1: the index holds them in deadline order,
+        // 500 and 900 ahead of 100.
+        des.spawn_machine(waiting_machine(900, 50, &[]));
+        des.spawn_machine(waiting_machine(100, 50, &[1]));
+        des.spawn_machine(waiting_machine(500, 50, &[]));
+        assert_eq!(des.peer(Id::new(100)).unwrap().next_deadline(), Some(2));
+        assert!(des.tick_timers());
+        let retried: Vec<Id> = des
+            .drain_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                ProtocolEvent::Retried {
+                    peer,
+                    op: OpKind::Query,
+                    ..
+                } => Some(peer),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retried, [100, 500, 900].map(Id::new));
     }
 
     #[test]
